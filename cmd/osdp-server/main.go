@@ -10,7 +10,7 @@
 //
 //	osdp-server [-addr :8080] [-ttl 30m] [-max-sessions N]
 //	            [-max-session-eps E] [-allow-seeds] [-scan-workers N]
-//	            [-ledger DIR] [-fsync-batch-window D] [-admin-token TOK]
+//	            [-ledger DIR] [-admin-token TOK]
 //	            [-default-analyst-eps E] [-max-analyst-sessions N]
 //	            [-access-log=false] [-trace-ring N] [-trace-slow D]
 //	            [-audit DIR] [-admit-concurrency N] [-admit-rate R]
@@ -34,13 +34,9 @@
 // -max-analyst-sessions caps one analyst's concurrent sessions.
 //
 // Durable charges are group-committed: concurrent charges share one
-// WAL fsync instead of paying one each. -fsync-batch-window stretches
-// the batching — once a record is queued, the committer waits that
-// long for more before fsyncing, trading single-charge latency for
-// fewer, larger batches. The default 0 commits as soon as the
-// committer is free, which already coalesces whatever arrives during
-// the previous fsync; set a window (e.g. 2ms) only when fsync
-// throughput, not latency, is the binding constraint.
+// WAL fsync instead of paying one each. The committer writes as soon as
+// it is free, so a batch holds whatever arrived during the previous
+// fsync; the -audit trail is written by the same kind of log.
 //
 // Each -data flag registers a dataset; its privacy policy is taken from
 // the matching -policy flag (a JSON PolicySpec, e.g.
@@ -125,7 +121,6 @@ func main() {
 	scanWorkers := flag.Int("scan-workers", runtime.NumCPU(), "data-plane scan parallelism: goroutines per vectorized pass on large tables (1 = serial)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 	ledgerDir := flag.String("ledger", "", "durable privacy-budget ledger directory; enables analyst auth and cross-session ε accounting")
-	fsyncBatchWindow := flag.Duration("fsync-batch-window", 0, "how long the ledger's group committer waits for more records before fsyncing a batch (0 = commit as soon as free)")
 	adminToken := flag.String("admin-token", "", "bearer token for the /admin API (default $OSDP_ADMIN_TOKEN); empty disables /admin")
 	defaultEps := flag.Float64("default-analyst-eps", 1.0, "default per-(analyst, dataset) ε budget when no explicit grant exists (0 = unlimited)")
 	maxAnalystSessions := flag.Int("max-analyst-sessions", 0, "cap on one analyst's concurrently open sessions (0 = unlimited)")
@@ -165,10 +160,9 @@ func main() {
 		}
 		var err error
 		led, err = ledger.Open(ledger.Config{
-			Dir:              *ledgerDir,
-			DefaultBudget:    *defaultEps,
-			FsyncBatchWindow: *fsyncBatchWindow,
-			Telemetry:        reg,
+			Dir:           *ledgerDir,
+			DefaultBudget: *defaultEps,
+			Telemetry:     reg,
 		})
 		if err != nil {
 			fatal(err)

@@ -2,14 +2,14 @@
 // server makes, so an operator can reconstruct every analyst's privacy
 // spend independently of the ledger.
 //
-// The trail is an append-only JSONL file governed by the same
-// durability discipline as the ledger WAL: events are group-committed
-// (one buffered write + one fsync per batch of concurrent appends), a
-// torn final line — the only damage a crash mid-write can produce — is
-// truncated on open, and corruption anywhere earlier refuses to open
-// rather than silently dropping spend history. Append itself never
-// blocks on the disk; Sync is the acknowledgement barrier: once it
-// returns nil, every earlier event survives a crash.
+// The trail is its own append-only JSONL file, audit.jsonl, kept apart
+// from the ledger WAL on purpose, but written by the same package wal
+// log: events are group-committed (one write + one fsync per batch of
+// concurrent appends), a torn final line is truncated on open, and
+// corruption anywhere else refuses to open rather than silently drop
+// spend history. Append itself never blocks on the disk; Sync is the
+// acknowledgement barrier: once it returns nil, every earlier event
+// survives a crash.
 //
 // A fixed-size in-memory ring of recent events backs the
 // /admin/audit endpoint whether or not a directory is configured, so
@@ -17,17 +17,12 @@
 package audit
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"osdp/internal/telemetry"
+	"osdp/internal/wal"
 )
 
 // Outcomes of an ε-bearing decision. The invariant mirrors the
@@ -73,11 +68,6 @@ type Event struct {
 	Outcome string `json:"outcome"`
 }
 
-// ErrBroken reports that a previous write or fsync failed; the log
-// refuses further durable appends so spend history cannot silently
-// diverge from what the file holds.
-var ErrBroken = errors.New("audit: log broken by earlier write failure")
-
 // logFile is the JSONL file name inside the configured directory.
 const logFile = "audit.jsonl"
 
@@ -90,46 +80,22 @@ type Config struct {
 	// RingSize caps the in-memory ring of recent events served by
 	// Recent (default 1024).
 	RingSize int
-	// NoSync skips fsync on commit (tests only; crash durability is
-	// lost).
-	NoSync bool
 	// Telemetry registers audit metrics when non-nil.
 	Telemetry *telemetry.Registry
 }
 
-// Log is the append-only audit trail. Append is non-blocking; a
-// background committer batches concurrent events into one write + one
-// fsync. A nil *Log is the disabled log: Append and Sync are no-ops.
+// Log is the append-only audit trail: a package wal log of Events plus
+// a ring of recent ones. A nil *Log is the disabled log: Append and Sync
+// are no-ops.
 type Log struct {
-	dir    string
-	noSync bool
-	met    auditMetrics
+	w   *wal.Log[Event]
+	met auditMetrics
 
-	mu      sync.Mutex
-	closed  bool
-	broken  error
-	seq     uint64 // last assigned sequence number
-	durable uint64 // last sequence number known durable
-	ring    []Event
-	ringN   int // events currently in the ring
-	ringAt  int // next slot to write
-	pending []Event
-	waiters []*syncWaiter
-
-	f    *os.File
-	size int64
-	buf  []byte
-
-	notify chan struct{}
-	stop   chan struct{}
-	done   chan struct{}
-}
-
-// syncWaiter parks a Sync call until seq is durable (or the log
-// breaks).
-type syncWaiter struct {
-	seq  uint64
-	done chan error
+	mu     sync.Mutex // orders ring slots with sequence numbers
+	closed bool
+	ring   []Event
+	ringN  int // events currently in the ring
+	ringAt int // next slot to write
 }
 
 // auditMetrics bundles the audit instruments; the zero value is the
@@ -151,56 +117,32 @@ func newAuditMetrics(r *telemetry.Registry) auditMetrics {
 	}
 }
 
+// eventSeq points the log at an Event's sequence number.
+func eventSeq(e *Event) *uint64 { return &e.Seq }
+
 // Open loads (replaying and truncating a torn tail) or creates the
 // audit log. With an empty Dir the log is in-memory only.
 func Open(cfg Config) (*Log, error) {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 1024
 	}
-	l := &Log{
-		dir:    cfg.Dir,
-		noSync: cfg.NoSync,
-		met:    newAuditMetrics(cfg.Telemetry),
-		ring:   make([]Event, cfg.RingSize),
-		notify: make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
+	l := &Log{met: newAuditMetrics(cfg.Telemetry), ring: make([]Event, cfg.RingSize)}
+	var path string
 	if cfg.Dir != "" {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("audit: create dir: %w", err)
-		}
-		path := filepath.Join(cfg.Dir, logFile)
-		last, truncateTo, err := Replay(cfg.Dir, func(e Event) error {
-			l.ringStore(e)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		l.seq = last
-		l.durable = last
-		if truncateTo >= 0 {
-			if err := os.Truncate(path, truncateTo); err != nil {
-				return nil, fmt.Errorf("audit: truncate torn tail: %w", err)
-			}
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("audit: open log: %w", err)
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("audit: stat log: %w", err)
-		}
-		l.f, l.size = f, st.Size()
-		if err := syncDir(cfg.Dir); err != nil {
-			f.Close()
-			return nil, err
-		}
+		path = filepath.Join(cfg.Dir, logFile)
 	}
-	go l.runCommitter()
+	w, err := wal.Open(path, wal.Config[Event]{
+		Seq:    eventSeq,
+		Replay: func(e Event) error { l.ringStore(e); return nil },
+		AfterBatch: func(b wal.Batch) bool {
+			l.met.fsync.ObserveDuration(b.Fsync)
+			return false
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	l.w = w
 	return l, nil
 }
 
@@ -216,37 +158,24 @@ func (l *Log) ringStore(e Event) {
 
 // Append records one event, assigning its sequence number and (if
 // unset) timestamp, and returns the sequence number. It never blocks
-// on the disk: durability happens on the committer goroutine, and
-// Sync is the barrier that observes it. No-op (returning 0) on a nil
-// or closed log.
+// on the disk: durability happens on the log's committer goroutine,
+// and Sync is the barrier that observes it. No-op (returning 0) on a
+// nil or closed log.
 func (l *Log) Append(e Event) uint64 {
 	if l == nil {
 		return 0
+	}
+	if e.Time.IsZero() {
+		e.Time = time.Now().UTC()
 	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return 0
 	}
-	l.seq++
-	e.Seq = l.seq
-	if e.Time.IsZero() {
-		e.Time = time.Now().UTC()
-	}
+	e.Seq = l.w.Append(e)
 	l.ringStore(e)
-	durable := l.f != nil && l.broken == nil
-	if durable {
-		l.pending = append(l.pending, e)
-	} else {
-		l.durable = l.seq // nothing to persist; Sync must not wait
-	}
 	l.mu.Unlock()
-	if durable {
-		select {
-		case l.notify <- struct{}{}:
-		default:
-		}
-	}
 	l.met.events.Inc()
 	return e.Seq
 }
@@ -258,108 +187,7 @@ func (l *Log) Sync() error {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	if l.broken != nil {
-		err := l.broken
-		l.mu.Unlock()
-		return err
-	}
-	if l.f == nil || l.durable >= l.seq || l.closed {
-		l.mu.Unlock()
-		return nil
-	}
-	w := &syncWaiter{seq: l.seq, done: make(chan error, 1)}
-	l.waiters = append(l.waiters, w)
-	l.mu.Unlock()
-	select {
-	case l.notify <- struct{}{}:
-	default:
-	}
-	return <-w.done
-}
-
-// runCommitter drains pending events in batches: one buffered write,
-// one fsync, then wake every Sync waiting at or below the new durable
-// sequence number.
-func (l *Log) runCommitter() {
-	defer close(l.done)
-	for {
-		select {
-		case <-l.notify:
-			l.commitPending()
-		case <-l.stop:
-			l.commitPending()
-			return
-		}
-	}
-}
-
-// commitPending writes and fsyncs everything queued, then settles
-// waiters. A write/fsync failure marks the log broken: in-flight and
-// future Syncs fail, the ring keeps serving, the file gains nothing.
-func (l *Log) commitPending() {
-	l.mu.Lock()
-	batch := l.pending
-	l.pending = nil
-	l.mu.Unlock()
-
-	var commitErr error
-	if len(batch) > 0 {
-		l.buf = l.buf[:0]
-		for _, e := range batch {
-			line, err := json.Marshal(e)
-			if err != nil {
-				commitErr = fmt.Errorf("audit: marshal event: %w", err)
-				break
-			}
-			l.buf = append(l.buf, line...)
-			l.buf = append(l.buf, '\n')
-		}
-		if commitErr == nil {
-			if n, err := l.f.Write(l.buf); err != nil {
-				// Truncate back so a partial line never becomes
-				// mid-file corruption for the next Open.
-				if terr := l.f.Truncate(l.size); terr != nil {
-					commitErr = fmt.Errorf("audit: append failed (%v) and truncate failed: %w", err, terr)
-				} else {
-					commitErr = fmt.Errorf("audit: append: %w", err)
-				}
-			} else {
-				l.size += int64(n)
-				if !l.noSync {
-					start := time.Now()
-					if err := l.f.Sync(); err != nil {
-						commitErr = fmt.Errorf("audit: fsync: %w", err)
-					}
-					l.met.fsync.ObserveDuration(time.Since(start))
-				}
-			}
-		}
-	}
-
-	l.mu.Lock()
-	if commitErr != nil {
-		l.broken = fmt.Errorf("%w: %v", ErrBroken, commitErr)
-		for _, w := range l.waiters {
-			w.done <- l.broken
-		}
-		l.waiters = nil
-	} else {
-		if len(batch) > 0 {
-			l.durable = batch[len(batch)-1].Seq
-		}
-		durable := l.durable
-		kept := l.waiters[:0]
-		for _, w := range l.waiters {
-			if w.seq <= durable {
-				w.done <- nil
-			} else {
-				kept = append(kept, w)
-			}
-		}
-		l.waiters = kept
-	}
-	l.mu.Unlock()
+	return l.w.Wait(l.w.Seq())
 }
 
 // Close flushes pending events, stops the committer, and closes the
@@ -369,37 +197,15 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil
-	}
 	l.closed = true
 	l.mu.Unlock()
-	close(l.stop)
-	<-l.done
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, w := range l.waiters {
-		w.done <- errors.New("audit: log closed")
-	}
-	l.waiters = nil
-	if l.f != nil {
-		if err := l.f.Close(); err != nil {
-			return fmt.Errorf("audit: close log: %w", err)
-		}
-	}
-	return l.broken
+	return l.w.Close()
 }
 
 // Durable reports whether the log is backed by a directory (and has
 // not broken). False for nil and in-memory logs.
 func (l *Log) Durable() bool {
-	if l == nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.f != nil && l.broken == nil
+	return l != nil && l.w.Durable()
 }
 
 // Seq returns the last assigned sequence number (total events ever
@@ -408,9 +214,7 @@ func (l *Log) Seq() uint64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
+	return l.w.Seq()
 }
 
 // Filter selects events from the in-memory ring. Zero fields match
@@ -459,69 +263,9 @@ func (l *Log) Recent(f Filter) []Event {
 // Replay reads every event in dir's audit log in order, calling fn for
 // each. It returns the last sequence number seen and, when the final
 // line is torn (crash mid-write), the byte offset the file should be
-// truncated to (-1 when intact). Corruption anywhere before the final
-// line is an error: audit history must not silently lose ε events. A
-// missing file replays zero events.
+// truncated to (-1 when intact). Corruption anywhere else is an error:
+// audit history must not silently lose ε events. A missing file replays
+// zero events.
 func Replay(dir string, fn func(Event) error) (lastSeq uint64, truncateTo int64, err error) {
-	f, err := os.Open(filepath.Join(dir, logFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, -1, nil
-	}
-	if err != nil {
-		return 0, -1, fmt.Errorf("audit: open for replay: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	var offset, lineStart int64
-	truncateTo = -1
-	for {
-		line, rerr := r.ReadBytes('\n')
-		lineStart = offset
-		offset += int64(len(line))
-		if len(line) > 0 {
-			if line[len(line)-1] != '\n' {
-				// Torn tail: the crash cut the batch write short
-				// before this line's newline, so the event here was
-				// never acknowledged — truncating it never loses
-				// acknowledged spend, and keeps the file
-				// newline-terminated for the O_APPEND reopen.
-				return lastSeq, lineStart, nil
-			}
-			var e Event
-			if jerr := json.Unmarshal(line, &e); jerr != nil || e.Seq == 0 {
-				// A terminated line that doesn't parse is real
-				// corruption, not a torn tail.
-				return 0, -1, fmt.Errorf("audit: corrupt record at byte %d", lineStart)
-			}
-			if e.Seq <= lastSeq {
-				return 0, -1, fmt.Errorf("audit: sequence regressed at byte %d (%d after %d)", lineStart, e.Seq, lastSeq)
-			}
-			lastSeq = e.Seq
-			if fn != nil {
-				if ferr := fn(e); ferr != nil {
-					return lastSeq, -1, ferr
-				}
-			}
-		}
-		if rerr == io.EOF {
-			return lastSeq, truncateTo, nil
-		}
-		if rerr != nil {
-			return lastSeq, -1, fmt.Errorf("audit: read log: %w", rerr)
-		}
-	}
-}
-
-// syncDir fsyncs the directory so a newly created log file's entry is
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("audit: open dir for fsync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("audit: fsync dir: %w", err)
-	}
-	return nil
+	return wal.Replay(filepath.Join(dir, logFile), eventSeq, fn)
 }

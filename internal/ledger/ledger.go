@@ -16,24 +16,21 @@
 // Durability contract: a charge is acknowledged only after its record is
 // appended to the write-ahead log (and fsync'd unless Config.NoSync),
 // so acknowledged spend survives crash and restart; the in-memory state
-// is a cache over the log, never the other way around. Durable writes
-// are GROUP-COMMITTED: a writer admits its record against the in-memory
-// state under the mutex, parks it on a commit queue, releases the lock,
-// and blocks until a single committer goroutine has written every
-// queued record in one buffered write and fsync'd once — N concurrent
-// charges amortize one fsync instead of paying N, and no caller
-// observes a nil return (or releases noise) before its own record is
-// stable. The failure modes all err toward counting MORE spend, never
-// less: a crash between WAL append and the noisy answer leaves the
-// charge spent with no answer released; a failed batch undoes the
-// in-memory spend of every charge it carried (records of an
-// unacknowledged batch that did reach the disk replay as spent — an
-// over-count, never an under-count); a refund whose batch fails keeps
-// the in-memory refund but replays as spent; a refund that can no
+// is a cache over the log, never the other way around. The WAL is a
+// package wal group-commit log: a writer admits its record against the
+// in-memory state under the mutex, appends it to the log's queue,
+// releases the lock, and waits until the log's committer has written
+// and fsync'd the batch carrying it — N concurrent charges amortize one
+// fsync, and no caller observes a nil return (or releases noise) before
+// its own record is stable. The failure modes all err toward counting
+// MORE spend, never less: a crash between WAL append and the noisy
+// answer leaves the charge spent with no answer released; a failed
+// batch undoes the in-memory spend of every charge it carried (records
+// of an unacknowledged batch that did reach the disk replay as spent —
+// an over-count, never an under-count); a refund whose batch fails
+// keeps the in-memory refund but replays as spent; a refund that can no
 // longer be matched to its charge (e.g. across a snapshot compaction)
-// is dropped and the charge stands. Replay tolerates a torn final WAL
-// line (the record was never acknowledged) and refuses to open on
-// corruption anywhere else.
+// is dropped and the charge stands.
 //
 // With Config.Dir empty the ledger runs in-memory: same semantics,
 // nothing survives Close. Tests and demos use this mode.
@@ -48,7 +45,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -57,6 +53,7 @@ import (
 	"osdp/internal/core"
 	"osdp/internal/dataset"
 	"osdp/internal/telemetry"
+	"osdp/internal/wal"
 )
 
 // Typed errors; the serving layer maps them onto HTTP statuses.
@@ -93,12 +90,6 @@ type Config struct {
 	// use it; with it set, a crash can lose charges the OS had not yet
 	// flushed (it still never resurrects refunded ones).
 	NoSync bool
-	// FsyncBatchWindow stretches group commit: once at least one record
-	// is queued, the committer waits this long for more to arrive before
-	// writing and fsyncing the batch — trading single-caller latency for
-	// fewer, larger fsyncs. 0 (the default) commits as soon as the
-	// committer is free; concurrency alone then sets the batch size.
-	FsyncBatchWindow time.Duration
 	// Telemetry, when non-nil, registers the ledger's metric series
 	// (charge/refund/replay/compaction counters, WAL append and fsync
 	// latency histograms) on the given registry. Nil disables
@@ -141,24 +132,21 @@ type analystState struct {
 	keyHash string
 }
 
-// commitWaiter is one WAL record parked on the group-commit queue plus
-// the channel its caller blocks on until the batch carrying it is
-// durable. The channel is buffered so the committer never blocks waking
-// a waiter.
-type commitWaiter struct {
-	rec      record
-	enqueued time.Time
-	done     chan error
+// walLog is the ledger's write-ahead log and the file under it. Only
+// the log writes, syncs, truncates or closes f; the ledger keeps the
+// handle so a fault can be injected under a live ledger.
+type walLog struct {
+	*wal.Log[record]
+	f *os.File
 }
 
 // Ledger is the control plane. One mutex guards the in-memory state AND
-// the sequence-number assignment of queued WAL records, so the durable
-// log order always matches the order charges were admitted — the
-// property replay correctness rests on. The WAL write itself happens
-// OUTSIDE the mutex, on the single committer goroutine: writers enqueue
-// under the lock and block on their batch afterwards, so reads
-// (Authenticate on every request) no longer queue behind a charge's
-// fsync, and concurrent charges share one.
+// the appends of WAL records, so the durable log order always matches
+// the order charges were admitted — the property replay correctness
+// rests on. The WAL write itself happens OUTSIDE the mutex, on the
+// log's committer goroutine: writers append under the lock and wait for
+// their batch afterwards, so reads (Authenticate on every request) never
+// queue behind a charge's fsync, and concurrent charges share one.
 type Ledger struct {
 	cfg Config
 
@@ -166,19 +154,10 @@ type Ledger struct {
 	analysts map[string]*analystState
 	byKey    map[string]string // sha256 hex of API key -> analyst id
 	accounts map[acctKey]*account
-	w        *wal // nil in memory mode
-	seq      uint64
-	appends  int // committed since the last snapshot
+	w        walLog // in-memory log when Dir is empty
 	closed   bool
-	pending  []*commitWaiter // group-commit queue, drained by the committer
 
-	// Committer lifecycle (nil / unused in memory mode). commitNotify is
-	// buffered: an enqueue nudges the committer without blocking, and a
-	// pending nudge coalesces with later ones.
-	commitNotify  chan struct{}
-	stop          chan struct{}
-	committerDone chan struct{}
-	closeErr      error // WAL close result, read after committerDone
+	appends int // committed since the last snapshot; committer goroutine only
 
 	met ledgerMetrics
 }
@@ -198,15 +177,34 @@ func Open(cfg Config) (*Ledger, error) {
 		// Built before replay so replayed-record counts are observed.
 		met: newLedgerMetrics(cfg.Telemetry),
 	}
-	if cfg.Dir == "" {
-		return l, nil
+	var snap snapshot
+	var path string
+	if cfg.Dir != "" {
+		var err error
+		if snap, err = loadSnapshot(cfg.Dir); err != nil {
+			return nil, err
+		}
+		if err := l.restore(snap); err != nil {
+			return nil, err
+		}
+		path = filepath.Join(cfg.Dir, walFile)
 	}
-
-	snap, err := loadSnapshot(cfg.Dir)
+	w, err := wal.Open(path, wal.Config[record]{
+		Seq:        func(r *record) *uint64 { return &r.Seq },
+		After:      snap.Seq,
+		Replay:     l.applyReplayed,
+		AfterBatch: l.afterBatch,
+		NoSync:     cfg.NoSync,
+	})
 	if err != nil {
 		return nil, err
 	}
-	l.seq = snap.Seq
+	l.w = walLog{Log: w, f: w.File()}
+	return l, nil
+}
+
+// restore loads a snapshot's analysts and accounts into an empty ledger.
+func (l *Ledger) restore(snap snapshot) error {
 	for _, a := range snap.Analysts {
 		st := &analystState{
 			info: AnalystInfo{
@@ -224,7 +222,7 @@ func Open(cfg Config) (*Ledger, error) {
 		// operator tightening DefaultBudget reaches them on restart.
 		budget := s.Budget
 		if !s.Explicit {
-			budget = cfg.DefaultBudget
+			budget = l.cfg.DefaultBudget
 		}
 		acc := &account{
 			budget:   budget,
@@ -240,33 +238,12 @@ func Open(cfg Config) (*Ledger, error) {
 		sort.Strings(names)
 		for _, name := range names {
 			if err := acc.acct.RestoreSpend(replayedGuarantee(name, s.Spent[name])); err != nil {
-				return nil, fmt.Errorf("ledger: snapshot account %s/%s: %w", s.Analyst, s.Dataset, err)
+				return fmt.Errorf("ledger: snapshot account %s/%s: %w", s.Analyst, s.Dataset, err)
 			}
 		}
 		l.accounts[acctKey{s.Analyst, s.Dataset}] = acc
 	}
-	truncateTo, err := replayWAL(cfg.Dir, snap.Seq, l.applyReplayed)
-	if err != nil {
-		return nil, err
-	}
-	if truncateTo >= 0 {
-		// Cut the torn fragment off BEFORE appending: a new record
-		// written after it would merge into one corrupt line and read as
-		// a droppable torn tail on the next restart — losing spend that
-		// WAS acknowledged.
-		if err := os.Truncate(filepath.Join(cfg.Dir, walFile), truncateTo); err != nil {
-			return nil, fmt.Errorf("ledger: truncating torn WAL tail: %w", err)
-		}
-	}
-	if l.w, err = openWAL(cfg.Dir, !cfg.NoSync); err != nil {
-		return nil, err
-	}
-	l.w.met = l.met
-	l.commitNotify = make(chan struct{}, 1)
-	l.stop = make(chan struct{})
-	l.committerDone = make(chan struct{})
-	go l.runCommitter()
-	return l, nil
+	return nil
 }
 
 // replayedGuarantee rebuilds a Guarantee from its durable form. Only the
@@ -286,9 +263,6 @@ func replayedGuarantee(policyName string, eps float64) core.Guarantee {
 // budget was lowered afterwards.
 func (l *Ledger) applyReplayed(rec record) error {
 	l.met.replayed.Inc()
-	if rec.Seq > l.seq {
-		l.seq = rec.Seq
-	}
 	switch rec.Kind {
 	case "analyst":
 		st := &analystState{
@@ -323,170 +297,76 @@ func (l *Ledger) applyReplayed(rec record) error {
 	return nil
 }
 
-// Close drains the commit queue (admitted writers still get a real
-// durability verdict), stops the committer, and closes the WAL. Further
-// operations fail with ErrClosed.
+// Close commits what was already appended (admitted writers still get
+// a real durability verdict) and closes the WAL. Further operations
+// fail with ErrClosed.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil
 	}
-	l.closed = true // no new records can enqueue past this point
+	l.closed = true // no new records can be appended past this point
 	l.mu.Unlock()
-	if l.w == nil {
-		return nil
-	}
-	close(l.stop)
-	<-l.committerDone
-	return l.closeErr
+	return l.w.Close()
 }
 
 // Durable reports whether the ledger persists to disk.
 func (l *Ledger) Durable() bool { return l.cfg.Dir != "" }
 
-// enqueueLocked assigns the next sequence number and, on a durable
-// ledger, parks the record on the group-commit queue, returning the
-// waiter the caller must await AFTER releasing l.mu. In-memory ledgers
-// return nil (sequence numbers are still consumed). Callers hold l.mu
-// and must have applied the record's in-memory effect already: the
-// committer may fold any enqueued record into a snapshot, and a
-// snapshot at sequence S must contain the effect of every record at or
-// below S.
-func (l *Ledger) enqueueLocked(rec record) *commitWaiter {
-	l.seq++
-	rec.Seq = l.seq
-	if l.w == nil {
-		return nil
+// await blocks until the WAL record seq is durable and returns the
+// batch verdict. Callers must NOT hold l.mu: the record was appended
+// under it, and the wait is what group commit moves outside it.
+func (l *Ledger) await(seq uint64) error {
+	if !l.Durable() {
+		return l.w.Wait(seq)
 	}
-	wtr := &commitWaiter{rec: rec, enqueued: time.Now(), done: make(chan error, 1)}
-	l.pending = append(l.pending, wtr)
-	select {
-	case l.commitNotify <- struct{}{}:
-	default: // committer already nudged
-	}
-	return wtr
-}
-
-// await blocks until wtr's batch is durable and returns the batch
-// verdict (nil waiter = in-memory ledger, immediately fine). Callers
-// must NOT hold l.mu — the committer needs it to drain the queue.
-func (l *Ledger) await(wtr *commitWaiter) error {
-	if wtr == nil {
-		return nil
-	}
-	err := <-wtr.done
-	l.met.commitWait.ObserveDuration(time.Since(wtr.enqueued))
+	start := time.Now()
+	err := l.w.Wait(seq)
+	l.met.commitWait.ObserveDuration(time.Since(start))
 	return err
 }
 
-// runCommitter is the single WAL writer: nudged by enqueueLocked, it
-// drains the queue, writes each drained batch in one buffered write,
-// fsyncs once, and wakes every waiter — so N concurrent charges
-// amortize one fsync. On Close it drains what was admitted before the
-// closed flag flipped, then closes the WAL.
-func (l *Ledger) runCommitter() {
-	defer close(l.committerDone)
-	for {
-		select {
-		case <-l.commitNotify:
-			l.commitPending()
-		case <-l.stop:
-			l.commitPending()
-			l.closeErr = l.w.close()
-			return
-		}
+// afterBatch runs on the WAL's committer after each durable batch. It
+// observes the batch and, every SnapshotEvery records, compacts: the
+// snapshot is built under l.mu but written outside it (holding the
+// mutex across file I/O would re-serialise every charge behind the
+// disk, which fsyncunderlock enforces), and returning true has the log
+// truncate the WAL before it seals the next batch, so no batch is ever
+// in flight across the truncation. Records appended meanwhile carry seq
+// above snap.Seq and are still queued, so they land in the fresh WAL;
+// records appended before the snapshot was built but not yet written
+// are covered by it (their in-memory effect came first), and replay
+// skips them — if their batch later fails, the snapshot over-counts an
+// unacknowledged record, the safe direction.
+func (l *Ledger) afterBatch(b wal.Batch) (truncate bool) {
+	l.met.walAppend.ObserveDuration(b.Write)
+	if !l.cfg.NoSync {
+		l.met.walFsync.ObserveDuration(b.Fsync)
 	}
-}
-
-// commitPending drains and commits batches until the queue is empty.
-func (l *Ledger) commitPending() {
-	for {
-		l.mu.Lock()
-		n := len(l.pending)
-		l.mu.Unlock()
-		if n == 0 {
-			return
-		}
-		if l.cfg.FsyncBatchWindow > 0 {
-			// Something is queued; linger so stragglers join this batch
-			// instead of paying their own fsync.
-			time.Sleep(l.cfg.FsyncBatchWindow)
-		} else {
-			// One scheduler yield before sealing the batch: writers the
-			// last commit just woke get to finish their next enqueue, so
-			// a saturated core produces full batches instead of
-			// alternating 1-record and (N-1)-record ones. When nothing
-			// else is runnable this costs well under a microsecond.
-			runtime.Gosched()
-		}
-		l.mu.Lock()
-		batch := l.pending
-		l.pending = nil
-		l.mu.Unlock()
-		l.commitBatch(batch)
-	}
-}
-
-// commitBatch writes one batch, wakes its waiters with the shared
-// verdict, and runs snapshot compaction on schedule. Rollback of a
-// failed batch is the WAITERS' job (each undoes its own in-memory
-// effect with the lock held), because only they know what they applied.
-func (l *Ledger) commitBatch(batch []*commitWaiter) {
-	recs := make([]record, len(batch))
-	for i, wtr := range batch {
-		recs[i] = wtr.rec
-	}
-	err := l.w.appendBatch(recs)
-	if err == nil {
-		l.met.batchRecords.Observe(float64(len(batch)))
-	}
-	for _, wtr := range batch {
-		wtr.done <- err
-	}
-	if err != nil {
-		return
+	l.met.batchRecords.Observe(float64(b.Records))
+	if l.appends += b.Records; l.appends < l.cfg.SnapshotEvery {
+		return false
 	}
 	l.mu.Lock()
-	l.appends += len(batch)
-	due := l.appends >= l.cfg.SnapshotEvery
-	var snap snapshot
-	if due {
-		// Compaction failure is not fatal to the batch that triggered
-		// it: the WAL already holds its records. Keep serving; the next
-		// batch retries. Records still queued at snapshot time are
-		// covered too — their seq is at or below the snapshot's and
-		// their in-memory effect was applied before they enqueued, so
-		// replay skipping them is exact (if their batch later fails,
-		// the snapshot over-counts an unacknowledged record — the safe
-		// direction, never an under-count).
-		snap = l.buildSnapshotLocked()
-	}
+	snap := l.buildSnapshotLocked()
 	l.mu.Unlock()
-	if !due {
-		return
+	if err := writeSnapshot(l.cfg.Dir, snap); err != nil {
+		return false // the WAL still holds everything; the next batch retries
 	}
-	// The snapshot write happens OUTSIDE l.mu: holding the mutex across
-	// file I/O would re-serialise every concurrent charge behind the
-	// disk, undoing group commit (this is the invariant fsyncunderlock
-	// enforces). Only this committer goroutine touches the WAL handle,
-	// so releasing the lock is safe; charges admitted while the file is
-	// being written carry seq above snap.Seq and replay on recovery.
-	if err := l.w.writeSnapshot(snap); err != nil {
-		return // WAL still holds everything; the next batch retries.
-	}
+	l.appends = 0
 	l.mu.Lock()
 	if err := l.compactLocked(); err == nil {
-		l.appends = 0
 		l.met.compactions.Inc()
 	}
 	l.mu.Unlock()
+	return true
 }
 
 // buildSnapshotLocked assembles the compacted durable state under l.mu;
 // the caller writes it to disk after releasing the lock.
 func (l *Ledger) buildSnapshotLocked() snapshot {
-	snap := snapshot{Seq: l.seq}
+	snap := snapshot{Seq: l.w.Seq()}
 	for id, st := range l.analysts {
 		snap.Analysts = append(snap.Analysts, snapAnalyst{
 			ID: id, Name: st.info.Name, KeyHash: st.keyHash,
@@ -578,18 +458,18 @@ func (l *Ledger) CreateAnalyst(name string, sessionCap int) (AnalystInfo, string
 		return AnalystInfo{}, "", fmt.Errorf("ledger: analyst id collision, retry")
 	}
 	info := AnalystInfo{ID: id, Name: name, Created: time.Now().UTC(), SessionCap: sessionCap}
-	// Mutate in-memory state BEFORE enqueueing: a snapshot covering this
+	// Mutate in-memory state BEFORE appending: a snapshot covering this
 	// record's seq must already contain it, or the subsequent WAL
 	// truncation would drop the analyst. Same ordering rule as Charge;
 	// every WAL writer follows it.
 	l.analysts[id] = &analystState{info: info, keyHash: hash}
 	l.byKey[hash] = id
-	wtr := l.enqueueLocked(record{
+	seq := l.w.Append(record{
 		Kind: "analyst", ID: id, Name: name, KeyHash: hash,
 		Created: info.Created, SessionCap: sessionCap,
 	})
 	l.mu.Unlock()
-	if err := l.await(wtr); err != nil {
+	if err := l.await(seq); err != nil {
 		l.mu.Lock()
 		delete(l.analysts, id)
 		delete(l.byKey, hash)
@@ -662,9 +542,9 @@ func (l *Ledger) SetDisabled(id string, disabled bool) error {
 	// In-memory first: a snapshot covering this record must carry the
 	// flag (losing a revocation record would re-arm a revoked key).
 	st.info.Disabled = disabled
-	wtr := l.enqueueLocked(record{Kind: "disable", ID: id, Disabled: disabled})
+	seq := l.w.Append(record{Kind: "disable", ID: id, Disabled: disabled})
 	l.mu.Unlock()
-	if err := l.await(wtr); err != nil {
+	if err := l.await(seq); err != nil {
 		l.mu.Lock()
 		st.info.Disabled = !disabled
 		l.mu.Unlock()
@@ -703,9 +583,9 @@ func (l *Ledger) SetBudget(analyst, ds string, budget float64) error {
 		prevBudget, prevExplicit = prev.budget, prev.explicit
 	}
 	l.setBudgetLocked(analyst, ds, budget)
-	wtr := l.enqueueLocked(record{Kind: "budget", Analyst: analyst, Dataset: ds, Budget: budget})
+	seq := l.w.Append(record{Kind: "budget", Analyst: analyst, Dataset: ds, Budget: budget})
 	l.mu.Unlock()
-	if err := l.await(wtr); err != nil {
+	if err := l.await(seq); err != nil {
 		l.mu.Lock()
 		if had {
 			l.setBudgetLocked(analyst, ds, prevBudget)
@@ -784,19 +664,19 @@ func (l *Ledger) Charge(analyst, ds string, g core.Guarantee, trace ...*telemetr
 		l.mu.Unlock()
 		return fmt.Errorf("ledger: account %s/%s: %w", analyst, ds, err)
 	}
-	// Count before enqueueing: a snapshot covering this record must
+	// Count before appending: a snapshot covering this record must
 	// include the charge it describes.
 	acc.charges++
-	wtr := l.enqueueLocked(record{
+	seq := l.w.Append(record{
 		Kind: "charge", Analyst: analyst, Dataset: ds,
 		Eps: g.Epsilon, Policy: g.Policy.Name(),
 	})
 	l.mu.Unlock()
 	var sp telemetry.SpanEnd
-	if wtr != nil && len(trace) > 0 {
+	if l.Durable() && len(trace) > 0 {
 		sp = trace[0].StartSpan("ledger.commit_wait")
 	}
-	err := l.await(wtr)
+	err := l.await(seq)
 	sp.End()
 	if err != nil {
 		// Not durable => not admitted: undo the in-memory spend. (If the
@@ -833,12 +713,12 @@ func (l *Ledger) Refund(analyst, ds string, g core.Guarantee) error {
 		l.mu.Unlock()
 		return err
 	}
-	wtr := l.enqueueLocked(record{
+	seq := l.w.Append(record{
 		Kind: "refund", Analyst: analyst, Dataset: ds,
 		Eps: g.Epsilon, Policy: g.Policy.Name(),
 	})
 	l.mu.Unlock()
-	err := l.await(wtr)
+	err := l.await(seq)
 	if err == nil {
 		// Counted only after durability: a refund whose batch failed must
 		// not inflate the metric (the in-memory refund stands regardless —

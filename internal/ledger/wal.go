@@ -1,32 +1,27 @@
 package ledger
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
+
+	"osdp/internal/wal"
 )
 
 // Durable layout inside Config.Dir:
 //
-//	wal.jsonl      append-only log, one JSON record per line
+//	wal.jsonl      append-only log (package wal), one JSON record per line
 //	snapshot.json  periodic compaction of everything up to Seq
 //
 // Every record carries a strictly increasing sequence number. A snapshot
 // stores the sequence of the last record it folds in; replay applies the
 // snapshot and then only WAL records with a HIGHER sequence, so the
 // crash window between "snapshot renamed into place" and "WAL
-// truncated" cannot double-count a charge.
-//
-// Crash tolerance on replay: a torn FINAL line (the classic kill-mid-
-// write artifact) is discarded — the record it would have described was
-// never acknowledged, so dropping it never under-counts acknowledged
-// spend. A malformed line anywhere BEFORE the final one means the file
-// was corrupted, not torn, and Open refuses to start rather than serve
-// from a ledger that may under-count.
+// truncated" cannot double-count a charge. The torn-tail and corruption
+// rules are package wal's.
 
 const (
 	walFile      = "wal.jsonl"
@@ -90,107 +85,16 @@ type snapAccount struct {
 	Spent    map[string]float64 `json:"spent"` // policy name -> Σε
 }
 
-// ErrWALBroken marks a WAL that refused all further appends after an
-// I/O failure it could not cleanly recover from (a short write it
-// could not truncate away, or any fsync failure — after a failed fsync
-// the kernel may have dropped dirty pages without saying which, so no
-// later append can vouch for anything before it). The in-memory state
-// is still served read-only-ish; restart to replay and recover.
-var ErrWALBroken = errors.New("ledger: WAL disabled after an unrecoverable write error; restart to recover")
-
-// wal is the open write handle plus the append buffer it reuses. All
-// writes go through the owning Ledger's single committer goroutine, so
-// no field here needs its own lock.
-type wal struct {
-	dir    string
-	f      *os.File
-	buf    []byte
-	sync   bool
-	size   int64 // current byte length; batch failures truncate back to it
-	broken bool
-	met    ledgerMetrics // set by Open after the WAL handle exists
-}
-
-func openWAL(dir string, sync bool) (*wal, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ledger: creating %s: %w", dir, err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ledger: opening WAL: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ledger: sizing WAL: %w", err)
-	}
-	// Persist the file's directory entry NOW: per-append fsync flushes
-	// the data blocks, but a freshly created wal.jsonl whose dir entry
-	// was never synced can vanish wholesale on power loss — erasing
-	// every acknowledged charge before the first snapshot.
-	if err := syncDir(dir); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &wal{dir: dir, f: f, sync: sync, size: st.Size()}, nil
-}
-
-// appendBatch writes one group-commit batch — every record on its own
-// line, one buffered write, one fsync — and returns only after the
-// whole batch is stable (unless fsync is disabled). No record in the
-// batch is acknowledged to its caller before this returns, so
-// acknowledged spend survives a crash; N concurrent charges in one
-// batch amortize a single fsync.
-//
-// Failure handling: a marshal error happens before any byte reaches
-// the file, leaving the WAL clean. A short write leaves a torn line
-// MID-file — which replay would refuse as corruption — so the file is
-// truncated back to the last good batch; if even that fails, or if the
-// fsync itself fails, the WAL flips to broken and every later append
-// returns ErrWALBroken rather than pretending durability it cannot
-// deliver.
-func (w *wal) appendBatch(recs []record) error {
-	if w.broken {
-		return ErrWALBroken
-	}
-	start := time.Now()
-	w.buf = w.buf[:0]
-	for i := range recs {
-		body, err := json.Marshal(&recs[i])
-		if err != nil {
-			return fmt.Errorf("ledger: encoding WAL record: %w", err)
-		}
-		w.buf = append(w.buf, body...)
-		w.buf = append(w.buf, '\n')
-	}
-	if _, err := w.f.Write(w.buf); err != nil {
-		if terr := w.f.Truncate(w.size); terr != nil {
-			w.broken = true
-		}
-		return fmt.Errorf("ledger: appending WAL batch: %w", err)
-	}
-	w.size += int64(len(w.buf))
-	if w.sync {
-		syncStart := time.Now()
-		if err := w.f.Sync(); err != nil {
-			w.broken = true
-			return fmt.Errorf("ledger: syncing WAL: %w", err)
-		}
-		w.met.walFsync.ObserveDuration(time.Since(syncStart))
-	}
-	w.met.walAppend.ObserveDuration(time.Since(start))
-	return nil
-}
-
-// writeSnapshot atomically replaces snapshot.json (write temp, fsync,
-// rename) and then truncates the WAL. A crash between the rename and the
-// truncation is safe: replay skips WAL records at or below snap.Seq.
-func (w *wal) writeSnapshot(snap snapshot) error {
+// writeSnapshot atomically replaces snapshot.json: write a temp file,
+// fsync it, rename it into place, fsync the directory. The caller then
+// truncates the WAL; a crash before that is safe, because replay skips
+// WAL records at or below snap.Seq.
+func writeSnapshot(dir string, snap snapshot) error {
 	body, err := json.MarshalIndent(snap, "", " ")
 	if err != nil {
 		return fmt.Errorf("ledger: encoding snapshot: %w", err)
 	}
-	tmp := filepath.Join(w.dir, snapshotFile+".tmp")
+	tmp := filepath.Join(dir, snapshotFile+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("ledger: creating snapshot temp: %w", err)
@@ -206,51 +110,14 @@ func (w *wal) writeSnapshot(snap snapshot) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("ledger: closing snapshot: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(w.dir, snapshotFile)); err != nil {
+	if err := os.Rename(tmp, filepath.Join(dir, snapshotFile)); err != nil {
 		return fmt.Errorf("ledger: installing snapshot: %w", err)
 	}
-	// Force the rename's directory entry to disk BEFORE truncating the
-	// WAL: a crash that persisted the truncation but not the rename
-	// would replay the OLD snapshot against an empty WAL, under-counting
-	// acknowledged spend.
-	if err := syncDir(w.dir); err != nil {
-		return err
-	}
-	// The snapshot now owns every record; start the WAL afresh. Reopen
-	// with O_TRUNC rather than Truncate on the live handle so the append
-	// offset resets too.
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("ledger: closing WAL for truncation: %w", err)
-	}
-	f2, err := os.OpenFile(filepath.Join(w.dir, walFile), os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("ledger: reopening WAL: %w", err)
-	}
-	w.f = f2
-	w.size = 0
-	return nil
-}
-
-// syncDir fsyncs a directory so renames within it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("ledger: opening %s for sync: %w", dir, err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("ledger: syncing %s: %w", dir, err)
-	}
-	return nil
-}
-
-func (w *wal) close() error {
-	if w.f == nil {
-		return nil
-	}
-	err := w.f.Close()
-	w.f = nil
-	return err
+	// The rename must be durable BEFORE the WAL is truncated: a crash
+	// that persisted the truncation but not the rename would replay the
+	// OLD snapshot against an empty WAL, under-counting acknowledged
+	// spend.
+	return wal.SyncDir(dir)
 }
 
 // loadSnapshot reads snapshot.json; a missing file is a fresh ledger.
@@ -267,57 +134,4 @@ func loadSnapshot(dir string) (snapshot, error) {
 		return snap, fmt.Errorf("ledger: snapshot %s is corrupt: %w", filepath.Join(dir, snapshotFile), err)
 	}
 	return snap, nil
-}
-
-// replayWAL applies records with Seq > afterSeq in file order, tolerating
-// a torn final line and rejecting corruption anywhere else. When the
-// tail is torn it returns the byte length of the valid prefix so the
-// caller can truncate the file BEFORE reopening it for append — the
-// next acknowledged record must start on its own line, or it would
-// merge with the fragment and read as a torn tail itself on the next
-// restart, silently dropping acknowledged spend. truncateTo is -1 when
-// the file is intact (or absent).
-func replayWAL(dir string, afterSeq uint64, apply func(record) error) (truncateTo int64, err error) {
-	body, err := os.ReadFile(filepath.Join(dir, walFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return -1, nil
-	}
-	if err != nil {
-		return -1, fmt.Errorf("ledger: reading WAL: %w", err)
-	}
-	lines := bytes.Split(body, []byte("\n"))
-	// Index of the last non-empty line: only THAT line may be torn.
-	last := -1
-	for i, line := range lines {
-		if len(bytes.TrimSpace(line)) > 0 {
-			last = i
-		}
-	}
-	var offset int64
-	for i, line := range lines {
-		lineStart := offset
-		offset += int64(len(line))
-		if i < len(lines)-1 {
-			offset++ // the split-away '\n'
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			if i == last {
-				// Torn tail from a crash mid-append: the record was never
-				// acknowledged, so dropping it never under-counts.
-				return lineStart, nil
-			}
-			return -1, fmt.Errorf("ledger: WAL line %d is corrupt (not a torn tail): %v", i+1, err)
-		}
-		if rec.Seq <= afterSeq {
-			continue // already folded into the snapshot
-		}
-		if err := apply(rec); err != nil {
-			return -1, err
-		}
-	}
-	return -1, nil
 }

@@ -353,6 +353,52 @@ func TestTornTailTruncatedBeforeAppend(t *testing.T) {
 	}
 }
 
+// TestTornTailDoubleRestart cuts a two-charge WAL just before its final
+// newline, so the torn record still parses. It was never acknowledged
+// and must be dropped on restart; keeping it and appending the next
+// charge right after it merged both into one line, and the second
+// restart dropped that line as a torn tail, losing an acknowledged
+// charge.
+func TestTornTailDoubleRestart(t *testing.T) {
+	cfg := Config{Dir: t.TempDir(), DefaultBudget: 10}
+	l, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _, err := l.CreateAnalyst("alice", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := l.Charge(a.ID, "d", g(0.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(cfg.Dir, walFile)
+	body, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, body[:len(body)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err = Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Charge(a.ID, "d", g(1.0)); err != nil {
+		t.Fatal(err)
+	}
+	l = reopen(t, l, cfg)
+	if got := l.TotalSpent(); math.Abs(got-1.5) > 1e-12 {
+		t.Fatalf("second restart replayed %g, want 1.5 (0.5 acknowledged before the cut + 1.0 after)", got)
+	}
+}
+
 // TestMidFileCorruptionRefused: a mangled line that is NOT the tail is
 // corruption, not a crash artifact — Open must fail closed rather than
 // serve a ledger that may under-count.

@@ -36,6 +36,7 @@ var documentedSurface = []string{
 	"osdp/internal/telemetry",
 	"osdp/internal/ledger",
 	"osdp/internal/audit",
+	"osdp/internal/wal",
 }
 
 func runDocComment(pass *analysis.Pass) error {

@@ -8,11 +8,11 @@ import (
 )
 
 // FsyncUnderLock enforces the group-commit lesson from DESIGN.md
-// "Group commit" (the PR 7 regression class): in the durable planes —
-// internal/ledger and internal/audit — no blocking file I/O may run
-// while the state mutex is held. Writers admit under the lock, park on
-// the commit queue, release, and await the committer; an fsync under
-// the mutex re-serialises every concurrent charge behind the disk.
+// "Group commit": in the durable planes — internal/wal and its two
+// users, internal/ledger and internal/audit — no blocking file I/O may
+// run while a mutex is held. Writers admit and append under the lock,
+// release, and wait for the committer; an fsync under the mutex
+// re-serialises every concurrent charge behind the disk.
 //
 // The check is intra-procedural with an intra-package closure: a
 // function "does I/O" if it calls a file verb (Sync, Write, Truncate,
@@ -26,7 +26,7 @@ import (
 // lock state: goroutine bodies do not inherit the spawner's lock.
 var FsyncUnderLock = &analysis.Analyzer{
 	Name: "fsyncunderlock",
-	Doc:  "no file Write/Sync (or call reaching one) while a mutex is held in internal/ledger and internal/audit",
+	Doc:  "no file Write/Sync (or call reaching one) while a mutex is held in internal/wal, internal/ledger and internal/audit",
 	Run:  runFsyncUnderLock,
 }
 
@@ -38,7 +38,7 @@ var ioVerbs = map[string]bool{
 }
 
 func runFsyncUnderLock(pass *analysis.Pass) error {
-	if !pass.PathIn("osdp/internal/ledger", "osdp/internal/audit") {
+	if !pass.PathIn("osdp/internal/wal", "osdp/internal/ledger", "osdp/internal/audit") {
 		return nil
 	}
 	doesIO := ioClosure(pass.Files)
@@ -85,7 +85,7 @@ func directIO(call *ast.CallExpr) (string, bool) {
 // ioClosure computes the set of same-package function names that
 // transitively perform file I/O. Names are bare identifiers (methods
 // and functions share the namespace), which is precise enough inside
-// these two small packages.
+// these three small packages.
 func ioClosure(files []*ast.File) map[string]bool {
 	bodies := map[string]*ast.BlockStmt{}
 	for _, f := range files {

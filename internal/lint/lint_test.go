@@ -40,6 +40,7 @@ func TestNilSafeTelemetry(t *testing.T) {
 func TestFsyncUnderLock(t *testing.T) {
 	analysistest.Run(t, fixtures("fsyncunderlock"), lint.FsyncUnderLock,
 		"osdp/internal/ledger",
+		"osdp/internal/wal",
 	)
 }
 

@@ -15,7 +15,6 @@ var noiseDiscipline = []string{
 	"osdp/internal/core",
 	"osdp/internal/mechanism",
 	"osdp/internal/histogram",
-	"osdp/internal/quantile",
 	"osdp/internal/server",
 	"osdp/internal/ledger",
 	"osdp/internal/audit",
