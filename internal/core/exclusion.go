@@ -115,33 +115,11 @@ func AnalyzeExclusion(mech Mechanism, base *dataset.Table, slot int, x, y datase
 				db.Append(r)
 			}
 		}
-		counts := make(map[string]int)
-		for i := 0; i < trials; i++ {
-			counts[event(mech.Release(db, src))]++
-		}
-		probs := make(map[string]float64, len(counts))
-		for e, c := range counts {
-			probs[e] = float64(c) / float64(trials)
-		}
-		return probs
+		return eventDist(mech, db, event, trials, src)
 	}
 	px, py := run(x), run(y)
-
-	maxLog := 0.0
-	for e, a := range px {
-		if a == 0 {
-			continue // event cannot raise the odds of x
-		}
-		b := py[e]
-		var lr float64
-		if b > 0 {
-			lr = math.Log(a / b)
-		} else {
-			lr = math.Inf(1) // possible under x, impossible under y
-		}
-		if lr > maxLog {
-			maxLog = lr
-		}
-	}
+	// Every observed event has positive probability under x, so a zero
+	// floor counts exactly the events that can raise the odds of x.
+	maxLog, _ := worstRatio(px, py, 0)
 	return ExclusionReport{EventProbX: px, EventProbY: py, MaxLogRatio: maxLog, Trials: trials}
 }

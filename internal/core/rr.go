@@ -31,18 +31,21 @@ func NewRR(policy dataset.Policy, eps float64) *RR {
 	return &RR{policy: policy, eps: eps}
 }
 
-// Release runs Algorithm 1 on db. Iteration is indexed so no per-record
-// view slice is materialized for large databases.
+// Release runs Algorithm 1 on db. It reads db's cached non-sensitive
+// partition (dataset.Table.Split) and draws one Bernoulli(1 − e^(−ε))
+// coin per non-sensitive record, in db order; sensitive records draw no
+// coin and are never released. The release is a view sharing db's
+// storage (copy-on-append), so no kept record is copied.
 func (m *RR) Release(db *dataset.Table, src noise.Source) *dataset.Table {
+	_, ns := db.Split(m.policy)
 	keep := noise.KeepProbability(m.eps)
-	out := dataset.NewTable(db.Schema())
-	for i, n := 0, db.Len(); i < n; i++ {
-		r := db.Record(i)
-		if m.policy.NonSensitive(r) && noise.Bernoulli(src, keep) {
-			out.Append(r)
+	kept := dataset.NewBitset(ns.Len())
+	for i := range kept.Len() {
+		if noise.Bernoulli(src, keep) {
+			kept.Set(i)
 		}
 	}
-	return out
+	return ns.Where(kept)
 }
 
 // Guarantee reports (P, ε)-OSDP.

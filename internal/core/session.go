@@ -63,12 +63,13 @@ var ErrEmptySample = errors.New("sample came up empty")
 // database's column store, not a materialized copy: N sessions over one
 // dataset share a single set of column vectors, and the policy split
 // itself is computed at most once per (table, policy) — dataset.Table
-// caches the partition bitsets, so even sessions opened concurrently
-// with plain NewSession reuse one split pass. On tables above 64K rows
-// that split pass, and every histogram/count scan a query performs,
-// shards across the dataset scan worker pool (dataset.SetScanWorkers);
-// parallel answers are bit-identical to serial ones, so the released
-// noise distribution is untouched by the worker count.
+// caches the partition bitsets, so every session over one dataset, and
+// every OsdpRR release they draw, reuses one split pass. On tables above
+// 64K rows that split pass, and every histogram/count scan a query
+// performs, shards across the dataset scan worker pool
+// (dataset.SetScanWorkers); parallel answers are bit-identical to serial
+// ones, so the released noise distribution is untouched by the worker
+// count.
 type Session struct {
 	db     *dataset.Table
 	ns     *dataset.Table // non-sensitive partition: a selection view over db's columns
@@ -78,18 +79,11 @@ type Session struct {
 }
 
 // NewSession opens a session over db with a total ε budget. A budget of 0
-// means unlimited (useful for testing, unwise in production).
+// means unlimited (useful for testing, unwise in production). The
+// non-sensitive partition comes from db's split cache, so a serving layer
+// that split db under policy at registration pays no second split pass.
 func NewSession(db *dataset.Table, policy dataset.Policy, budget float64, src noise.Source) *Session {
 	_, ns := db.Split(policy)
-	return NewSessionWithPartition(db, ns, policy, budget, src)
-}
-
-// NewSessionWithPartition opens a session reusing a precomputed
-// non-sensitive partition, e.g. the view a serving layer derives once at
-// dataset registration. ns must be exactly the non-sensitive records of
-// db under policy; both tables are treated as immutable for the
-// session's life.
-func NewSessionWithPartition(db, ns *dataset.Table, policy dataset.Policy, budget float64, src noise.Source) *Session {
 	return &Session{
 		db:     db,
 		ns:     ns,
@@ -165,12 +159,12 @@ func (s *Session) Sample(eps float64, trace ...TraceHook) (*dataset.Table, error
 	if err := s.charge(eps); err != nil {
 		return nil, fmt.Errorf("core: sample rejected: %w", err)
 	}
-	// OsdpRR interleaves the scan and the randomized keep decisions, so
-	// the whole release is one "noise" phase.
+	// OsdpRR's keep coins ARE the mechanism execution, so the whole
+	// release is one "noise" phase.
 	end := beginPhase(trace, "noise")
 	rel := NewRR(s.policy, eps).Release(s.db, s.src)
 	if end != nil {
-		end("rows", strconv.Itoa(s.db.Len()))
+		end("rows", strconv.Itoa(s.ns.Len()), "kept", strconv.Itoa(rel.Len()))
 	}
 	return rel, nil
 }
@@ -217,22 +211,23 @@ func (s *Session) Quantile(attr string, q, eps float64, trace ...TraceHook) (flo
 	if err := s.charge(eps); err != nil {
 		return 0, fmt.Errorf("core: quantile rejected: %w", err)
 	}
-	// The Bernoulli keep loop IS the mechanism execution — scan and
-	// randomness are inseparable here, so it traces as one "noise"
-	// phase.
+	// The sample quantile is post-processing of one OsdpRR release; the
+	// release traces as one "noise" phase, as in Sample.
 	end := beginPhase(trace, "noise")
-	keep := noise.KeepProbability(eps)
-	var values []float64
-	for i, n := 0, s.ns.Len(); i < n; i++ {
-		if noise.Bernoulli(s.src, keep) {
-			values = append(values, s.ns.Record(i).Get(attr).AsFloat())
-		}
-	}
+	rel := NewRR(s.policy, eps).Release(s.db, s.src)
 	if end != nil {
-		end("rows", strconv.Itoa(s.ns.Len()), "kept", strconv.Itoa(len(values)))
+		end("rows", strconv.Itoa(s.ns.Len()), "kept", strconv.Itoa(rel.Len()))
 	}
-	if len(values) == 0 {
+	if rel.Len() == 0 {
 		return 0, fmt.Errorf("core: quantile %w (kept 0 of %d records)", ErrEmptySample, s.ns.Len())
+	}
+	ci := s.db.Schema().ColumnIndex(attr)
+	if ci < 0 {
+		panic(fmt.Sprintf("dataset: unknown attribute %q", attr))
+	}
+	values := make([]float64, rel.Len())
+	for i := range values {
+		values[i] = rel.Record(i).At(ci).AsFloat()
 	}
 	sort.Float64s(values)
 	rank := int(math.Ceil(q * float64(len(values))))

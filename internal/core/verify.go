@@ -59,18 +59,7 @@ func VerifyOSDP(mech Mechanism, base *dataset.Table, p dataset.Policy, universe 
 		event = multisetEvent
 	}
 
-	distFor := func(db *dataset.Table) map[string]float64 {
-		counts := make(map[string]int)
-		for i := 0; i < cfg.Trials; i++ {
-			counts[event(mech.Release(db, src))]++
-		}
-		out := make(map[string]float64, len(counts))
-		for e, c := range counts {
-			out[e] = float64(c) / float64(cfg.Trials)
-		}
-		return out
-	}
-	baseDist := distFor(base)
+	baseDist := eventDist(mech, base, event, cfg.Trials, src)
 
 	res := VerifyResult{}
 	record := func(lr float64, ev string, i int, repl dataset.Record) {
@@ -88,7 +77,7 @@ func VerifyOSDP(mech Mechanism, base *dataset.Table, p dataset.Policy, universe 
 			if err != nil {
 				continue // identity replacement
 			}
-			nbDist := distFor(nb)
+			nbDist := eventDist(mech, nb, event, cfg.Trials, src)
 			res.Pairs++
 			// Definition 3.3 bounds Pr[M(D) ∈ O] by e^ε·Pr[M(D') ∈ O] for
 			// D' ∈ N_P(D): check base against its neighbor.
@@ -104,6 +93,20 @@ func VerifyOSDP(mech Mechanism, base *dataset.Table, p dataset.Policy, universe 
 		}
 	}
 	return res
+}
+
+// eventDist estimates the output-event distribution of mech on db from
+// trials Monte Carlo releases.
+func eventDist(mech Mechanism, db *dataset.Table, event EventFunc, trials int, src noise.Source) map[string]float64 {
+	counts := make(map[string]int)
+	for i := 0; i < trials; i++ {
+		counts[event(mech.Release(db, src))]++
+	}
+	out := make(map[string]float64, len(counts))
+	for e, c := range counts {
+		out[e] = float64(c) / float64(trials)
+	}
+	return out
 }
 
 // worstRatio returns the largest one-directional log probability ratio

@@ -146,9 +146,9 @@ func writeEscapedKeyPart(b *strings.Builder, s string) {
 // typed vector (int64/float64/bool, or a dictionary-coded string column),
 // and the Record API reads through lightweight row views. A table is
 // either a base table owning its columns, or a view: a selection vector
-// over another table's columns, produced by Filter and Split. Views share
-// storage — N policy partitions of one dataset cost N index slices, not N
-// copies of the data.
+// over another table's columns, produced by Filter, Where and Split.
+// Views share storage — N policy partitions of one dataset cost N index
+// slices, not N copies of the data.
 //
 // Tables are safe for concurrent READS (Record/Records, Filter, Count,
 // Select, Split); Append must not race with any other access, matching
@@ -265,7 +265,7 @@ func (t *Table) ColumnStrings(i int) (codes []uint32, dict []string, ok bool) {
 
 // Append adds records to the table. Records must share the table's schema.
 // Appending to a view first materializes it into an independent base table
-// (the view semantics of Filter/Split results are copy-on-append).
+// (the view semantics of Filter/Where/Split results are copy-on-append).
 func (t *Table) Append(rs ...Record) {
 	for _, r := range rs {
 		if r.schema != t.schema {
@@ -374,7 +374,7 @@ func (t *Table) Select(pred Predicate) *Bitset {
 }
 
 // selIsIdentity reports whether a view covers every base row in order.
-// Selection vectors are strictly increasing physical row ids (Filter and
+// Selection vectors are strictly increasing physical row ids (Where and
 // Split emit bitset indices; composition preserves monotonicity), so
 // covering the full base is equivalent to length equality — an O(1)
 // check that lets full-table partitions (e.g. AllNonSensitive policies)
@@ -383,10 +383,20 @@ func (t *Table) selIsIdentity() bool {
 	return len(t.sel) == t.Base().nrows
 }
 
+// Where returns the records whose bit is set in sel (a bitset over this
+// table's rows, e.g. from Select or SplitBits) as a view sharing this
+// table's storage (copy-on-append). It panics if sel.Len() != t.Len().
+func (t *Table) Where(sel *Bitset) *Table {
+	if sel.Len() != t.Len() {
+		panic(fmt.Sprintf("dataset: Where bitset over %d rows, table has %d", sel.Len(), t.Len()))
+	}
+	return t.viewOf(sel.indices())
+}
+
 // Filter returns the records satisfying pred as a view sharing this
 // table's storage (copy-on-append).
 func (t *Table) Filter(pred Predicate) *Table {
-	return t.viewOf(t.Select(pred).indices())
+	return t.Where(t.Select(pred))
 }
 
 // Count returns the number of records satisfying pred, via one vectorized

@@ -1,6 +1,8 @@
 package noise
 
 import (
+	"bufio"
+	"bytes"
 	"math"
 	"testing"
 )
@@ -12,6 +14,26 @@ func TestSecureSourceRange(t *testing.T) {
 		if u < 0 || u >= 1 {
 			t.Fatalf("secure uniform %v outside [0, 1)", u)
 		}
+	}
+}
+
+func TestSecureSourceFloat64DoesNotAllocate(t *testing.T) {
+	src := NewSecureSource()
+	if allocs := testing.AllocsPerRun(10000, func() { src.Float64() }); allocs != 0 {
+		t.Errorf("secure Float64 allocates %v times per draw, want 0", allocs)
+	}
+}
+
+func TestSecureSourceDecodesEightLittleEndianBytes(t *testing.T) {
+	// Each draw consumes exactly 8 bytes, read little-endian, and keeps
+	// the top 53 bits.
+	in := []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+	src := &secureSource{r: bufio.NewReader(bytes.NewReader(in))}
+	if got := src.Float64(); got != 0.5 {
+		t.Errorf("first draw = %v, want 0.5", got)
+	}
+	if got, want := src.Float64(), float64(1<<53-1)/(1<<53); got != want {
+		t.Errorf("second draw = %v, want %v", got, want)
 	}
 }
 

@@ -397,9 +397,10 @@ func (s *Server) OpenSession(analyst string, req OpenSessionRequest) (SessionInf
 		id:      id,
 		dataset: req.Dataset,
 		analyst: analyst,
-		// Reuse the partition cached at registration: opening N
-		// sessions must not split the table N times.
-		sess:     core.NewSessionWithPartition(d.table, d.ns, d.policy, req.Budget, src),
+		// Registration split the table under this policy, so the
+		// table's split cache hits: opening N sessions must not split
+		// the table N times.
+		sess:     core.NewSession(d.table, d.policy, req.Budget, src),
 		created:  now,
 		lastUsed: now,
 	}

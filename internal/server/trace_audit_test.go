@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -121,6 +122,62 @@ func TestTraceAuditEndToEnd(t *testing.T) {
 	}
 	if math.Abs(ev.Eps-eps) > 1e-12 || math.Abs(spend.TotalSpent-eps) > 1e-12 {
 		t.Fatalf("audit eps %g vs ledger spend %g, want both %g", ev.Eps, spend.TotalSpent, eps)
+	}
+}
+
+// TestReleaseNoiseSpanAttrs pins the OsdpRR noise span on both release
+// kinds: "rows" counts the non-sensitive rows that drew a keep coin
+// (sensitive rows draw none) and "kept" is the release size.
+func TestReleaseNoiseSpanAttrs(t *testing.T) {
+	c, srv, _ := newTraceAuditServer(t, ledger.Config{DefaultBudget: 10}, Config{})
+	registerPeople(t, srv, 200)
+	ac, _ := mintAnalyst(t, c, "alice", 0)
+	info, err := ac.Dataset(ctx, "people")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.NonSensitive == 0 || info.NonSensitive == info.Rows {
+		t.Fatalf("fixture needs both partitions non-empty: %+v", info)
+	}
+	sc, err := ac.OpenSession(ctx, "people", 0, seed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	admin := c.WithToken(adminToken)
+	noiseAttrs := func(reqID string) map[string]string {
+		t.Helper()
+		tr, err := admin.Trace(ctx, reqID)
+		if err != nil {
+			t.Fatalf("fetching trace %s: %v", reqID, err)
+		}
+		for _, sp := range tr.Spans {
+			if sp.Name == "noise" {
+				return sp.Attrs
+			}
+		}
+		t.Fatalf("trace %s has no noise span: %+v", reqID, tr.Spans)
+		return nil
+	}
+	wantRows := strconv.Itoa(info.NonSensitive)
+
+	const sampleID = "5a5a5a5a5a5a5a5a"
+	sample, err := sc.Sample(ContextWithRequestID(ctx, sampleID), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs := noiseAttrs(sampleID)
+	if attrs["rows"] != wantRows || attrs["kept"] != strconv.Itoa(sample.Len()) {
+		t.Errorf("sample noise span attrs = %v, want rows=%s kept=%d", attrs, wantRows, sample.Len())
+	}
+
+	const quantileID = "9a9a9a9a9a9a9a9a"
+	if _, err := sc.Quantile(ContextWithRequestID(ctx, quantileID), 1, "Age", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	attrs = noiseAttrs(quantileID)
+	kept, err := strconv.Atoi(attrs["kept"])
+	if attrs["rows"] != wantRows || err != nil || kept < 1 || kept > info.NonSensitive {
+		t.Errorf("quantile noise span attrs = %v, want rows=%s and kept in [1, %s]", attrs, wantRows, wantRows)
 	}
 }
 
