@@ -10,6 +10,7 @@
 package osdp
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -434,6 +435,58 @@ func BenchmarkNoise_OneSidedLaplace(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		noise.OneSidedLaplace(src, 1.0)
+	}
+}
+
+// releaseBenchTable is a 50k-row table shaped like the served release
+// workload: an int attribute whose minors are sensitive, a 64-value
+// string attribute and a float attribute.
+func releaseBenchTable() (*dataset.Table, dataset.Policy) {
+	tb := dataset.NewTable(dataset.NewSchema(
+		dataset.Field{Name: "Age", Kind: dataset.KindInt},
+		dataset.Field{Name: "Group", Kind: dataset.KindString},
+		dataset.Field{Name: "Score", Kind: dataset.KindFloat},
+	))
+	src := noise.NewSource(11)
+	for i := 0; i < 50000; i++ {
+		tb.AppendValues(
+			dataset.Int(int64(src.Float64()*90)),
+			dataset.Str(fmt.Sprintf("g%02d", int(src.Float64()*64))),
+			dataset.Float(float64(int(src.Float64()*1024e3))/1e3),
+		)
+	}
+	p := dataset.NewPolicy("minors", dataset.Cmp("Age", dataset.OpLt, dataset.Int(18)))
+	tb.SplitBits(p) // warm the split cache, as registration does
+	return tb, p
+}
+
+// BenchmarkOsdpRRRelease50kSecure measures one OsdpRR release at the
+// served ε = 0.1 with the production crypto/rand source: the cost should
+// follow the ~3.8k kept rows, not the 50k-row table.
+func BenchmarkOsdpRRRelease50kSecure(b *testing.B) {
+	tb, p := releaseBenchTable()
+	m := core.NewRR(p, 0.1)
+	src := noise.NewSecureSource()
+	b.ReportAllocs()
+	for b.Loop() {
+		if m.Release(tb, src).Len() == 0 {
+			b.Fatal("empty release")
+		}
+	}
+}
+
+// BenchmarkWriteCSVSample measures rendering one ε = 0.1 release as the
+// CSV a sample response carries.
+func BenchmarkWriteCSVSample(b *testing.B) {
+	tb, p := releaseBenchTable()
+	sample := core.NewRR(p, 0.1).Release(tb, noise.NewSource(12))
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	for b.Loop() {
+		buf.Reset()
+		if err := dataset.WriteCSV(&buf, sample); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -32,18 +32,28 @@ func NewRR(policy dataset.Policy, eps float64) *RR {
 }
 
 // Release runs Algorithm 1 on db. It reads db's cached non-sensitive
-// partition (dataset.Table.Split) and draws one Bernoulli(1 − e^(−ε))
-// coin per non-sensitive record, in db order; sensitive records draw no
-// coin and are never released. The release is a view sharing db's
-// storage (copy-on-append), so no kept record is copied.
+// partition (dataset.Table.Split) and keeps each non-sensitive record
+// independently with probability 1 − e^(−ε), in db order; sensitive
+// records draw nothing and are never released. The release is a view
+// sharing db's storage (copy-on-append), so no kept record is copied.
+//
+// Rather than one coin per record, Release draws the gap to the next kept
+// record: the number of failures before a Bernoulli(p) success is
+// Geometric(p), and for u uniform on [0, 1), ⌊−ln(1−u)/ε⌋ = ⌊Exp(ε)⌋ has
+// Pr[gap ≥ k] = e^(−εk), exactly Geometric(1 − e^(−ε)). A release
+// therefore draws kept + 1 uniforms instead of one per record.
 func (m *RR) Release(db *dataset.Table, src noise.Source) *dataset.Table {
 	_, ns := db.Split(m.policy)
-	keep := noise.KeepProbability(m.eps)
 	kept := dataset.NewBitset(ns.Len())
-	for i := range kept.Len() {
-		if noise.Bernoulli(src, keep) {
-			kept.Set(i)
+	for i := 0; ; i++ {
+		// Compare in float64 before converting: at tiny ε the gap can
+		// exceed any int.
+		gap := math.Floor(noise.Exponential(src, m.eps))
+		if gap >= float64(kept.Len()-i) {
+			break
 		}
+		i += int(gap)
+		kept.Set(i)
 	}
 	return ns.Where(kept)
 }

@@ -32,9 +32,9 @@ func smallNumericTable(t *testing.T, n int) *dataset.Table {
 // transcript.
 func TestQuantileChargesOnEmptySample(t *testing.T) {
 	db := smallNumericTable(t, 50)
-	// Float64() == 0.99 makes every Bernoulli(keep) false for
-	// keep = 1-e^-0.5 ≈ 0.39, so the sample is deterministically empty.
-	sess := NewSession(db, dataset.AllNonSensitive(), 2.0, constSource(0.99))
+	// Float64() == 1 − 2⁻⁴⁰ makes the first gap ⌊40·ln2/0.5⌋ = 55 rows,
+	// past the 50-row table, so the sample is deterministically empty.
+	sess := NewSession(db, dataset.AllNonSensitive(), 2.0, constSource(1-0x1p-40))
 
 	const eps = 0.5
 	_, err := sess.Quantile("X", 0.5, eps)
@@ -52,7 +52,7 @@ func TestQuantileChargesOnEmptySample(t *testing.T) {
 	}
 
 	// A successful retry pays again: the two runs compose to 2·eps.
-	// Float64() == 0.1 keeps every record.
+	// Float64() == 0.1 is a gap of ⌊0.105/0.5⌋ = 0: every record is kept.
 	sess2 := &Session{}
 	*sess2 = *sess
 	sess2.src = constSource(0.1)

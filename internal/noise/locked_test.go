@@ -37,28 +37,6 @@ func TestLockedConcurrentDraws(t *testing.T) {
 	}
 }
 
-// TestSecureSourceConcurrentDraws backs the doc claim that
-// NewSecureSource is safe without Locked: its buffered crypto/rand
-// reader is shared mutable state, so under -race this fails if the
-// internal mutex is removed.
-func TestSecureSourceConcurrentDraws(t *testing.T) {
-	src := NewSecureSource()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				if u := src.Float64(); u < 0 || u >= 1 {
-					t.Errorf("secure source produced %v outside [0, 1)", u)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TestLockedSameSequence checks that wrapping does not perturb the
 // underlying stream: a Locked source consumed by one goroutine yields the
 // same sequence as the bare source with the same seed.

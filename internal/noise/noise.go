@@ -177,7 +177,8 @@ func Gaussian(src Source, sigma float64) float64 {
 }
 
 // Exponential draws from Exp(rate): density rate·exp(-rate·x) on x >= 0.
-// Used by the trace simulator for dwell times.
+// Used by the trace simulator for dwell times, and by OsdpRR, whose gap
+// between kept records is ⌊Exp(ε)⌋.
 func Exponential(src Source, rate float64) float64 {
 	if rate <= 0 {
 		panic("noise: exponential rate must be positive")

@@ -1,7 +1,6 @@
 package noise
 
 import (
-	"bufio"
 	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
@@ -18,15 +17,17 @@ import (
 // floating-point attack (CCS 2012), where the low-order bits of naïve
 // double-precision Laplace samples leak the true value.
 
-// secureSource draws uniform variates from crypto/rand, buffered to keep
-// the syscall overhead off the per-sample path. The mutex makes it safe
-// for concurrent use: the buffer is shared mutable state, and racing
-// reads could hand two goroutines overlapping random bytes — correlated
-// noise that would silently weaken the privacy guarantee.
+// secureSource draws uniform variates from crypto/rand, read a 4 KiB
+// block at a time to keep the syscall overhead off the per-sample path.
+// The mutex makes it safe for concurrent use: the block is shared mutable
+// state, and racing reads could hand two goroutines overlapping random
+// bytes — correlated noise that would silently weaken the privacy
+// guarantee.
 type secureSource struct {
-	mu  sync.Mutex
-	r   *bufio.Reader
-	buf [8]byte // scratch for one draw; guarded by mu
+	mu    sync.Mutex
+	r     io.Reader
+	blk   [4096]byte // guarded by mu
+	avail []byte     // unread tail of blk; guarded by mu
 }
 
 // NewSecureSource returns a Source backed by crypto/rand. Sampling is a
@@ -35,20 +36,26 @@ type secureSource struct {
 // reproducible. Unlike seeded sources, it is safe for concurrent use
 // without wrapping in Locked.
 func NewSecureSource() Source {
-	return &secureSource{r: bufio.NewReaderSize(crand.Reader, 4096)}
+	return &secureSource{r: crand.Reader}
 }
 
-// Float64 returns a uniform value in [0, 1) with 53 random bits.
+// Float64 returns a uniform value in [0, 1) with 53 random bits: the top
+// 53 bits of the next 8 block bytes, read little-endian.
 func (s *secureSource) Float64() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := io.ReadFull(s.r, s.buf[:]); err != nil {
-		// crypto/rand failure means the platform's entropy source is
-		// broken; producing deterministic "noise" would silently void the
-		// privacy guarantee, so fail loudly.
-		panic(fmt.Sprintf("noise: reading crypto/rand: %v", err))
+	if len(s.avail) < 8 {
+		if _, err := io.ReadFull(s.r, s.blk[:]); err != nil {
+			// crypto/rand failure means the platform's entropy source is
+			// broken; producing deterministic "noise" would silently void
+			// the privacy guarantee, so fail loudly.
+			panic(fmt.Sprintf("noise: reading crypto/rand: %v", err))
+		}
+		s.avail = s.blk[:]
 	}
-	return float64(binary.LittleEndian.Uint64(s.buf[:])>>11) / (1 << 53)
+	v := binary.LittleEndian.Uint64(s.avail)
+	s.avail = s.avail[8:]
+	return float64(v>>11) / (1 << 53)
 }
 
 // Snap post-processes a noisy value with the snapping mechanism: clamp to

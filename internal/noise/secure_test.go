@@ -1,9 +1,9 @@
 package noise
 
 import (
-	"bufio"
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -27,13 +27,50 @@ func TestSecureSourceFloat64DoesNotAllocate(t *testing.T) {
 func TestSecureSourceDecodesEightLittleEndianBytes(t *testing.T) {
 	// Each draw consumes exactly 8 bytes, read little-endian, and keeps
 	// the top 53 bits.
-	in := []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-	src := &secureSource{r: bufio.NewReader(bytes.NewReader(in))}
+	in := make([]byte, len(secureSource{}.blk))
+	copy(in, []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	src := &secureSource{r: bytes.NewReader(in)}
 	if got := src.Float64(); got != 0.5 {
 		t.Errorf("first draw = %v, want 0.5", got)
 	}
 	if got, want := src.Float64(), float64(1<<53-1)/(1<<53); got != want {
 		t.Errorf("second draw = %v, want %v", got, want)
+	}
+}
+
+// TestSecureSourceConcurrentDraws backs the doc claim that
+// NewSecureSource is safe without Locked: its block is shared mutable
+// state, so under -race this fails if the internal mutex is removed.
+// Every draw must be in [0, 1) and no two may be equal, so a block (or an
+// 8-byte slot of one) handed out twice fails too.
+func TestSecureSourceConcurrentDraws(t *testing.T) {
+	const goroutines, draws = 8, 10000
+	src := NewSecureSource()
+	out := make([][]float64, goroutines)
+	var wg sync.WaitGroup
+	for g := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			us := make([]float64, draws)
+			for i := range us {
+				us[i] = src.Float64()
+			}
+			out[g] = us
+		}()
+	}
+	wg.Wait()
+	seen := make(map[float64]bool, goroutines*draws)
+	for _, us := range out {
+		for _, u := range us {
+			if u < 0 || u >= 1 {
+				t.Fatalf("secure uniform %v outside [0, 1)", u)
+			}
+			if seen[u] {
+				t.Fatalf("secure uniform %v drawn twice", u)
+			}
+			seen[u] = true
+		}
 	}
 }
 

@@ -258,8 +258,13 @@ func (s *Server) compileRun(req QueryRequest, se *session, d *ds, resp *QueryRes
 			if err != nil {
 				return err
 			}
+			// Rendering the sample is response encoding, like the JSON
+			// encode that follows it in the handler.
+			sp := tr.StartSpan("encode")
 			var b strings.Builder
-			if err := dataset.WriteCSV(&b, t); err != nil {
+			err = dataset.WriteCSV(&b, t)
+			sp.End()
+			if err != nil {
 				return err
 			}
 			resp.SampleCSV = b.String()

@@ -181,6 +181,63 @@ func TestReleaseNoiseSpanAttrs(t *testing.T) {
 	}
 }
 
+// TestSampleTraceRecordsCSVEncodeSpan pins where a sample's CSV is
+// rendered: inside an "encode" span of its own, after the noise span and
+// before the handler's JSON encode, so the work is attributed rather
+// than left as unexplained request time. A quantile has no CSV, so its
+// trace holds only the JSON encode.
+func TestSampleTraceRecordsCSVEncodeSpan(t *testing.T) {
+	c, srv, _ := newTraceAuditServer(t, ledger.Config{DefaultBudget: 10}, Config{})
+	registerPeople(t, srv, 200)
+	ac, _ := mintAnalyst(t, c, "alice", 0)
+	sc, err := ac.OpenSession(ctx, "people", 0, seed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	admin := c.WithToken(adminToken)
+	spans := func(reqID, name string) []SpanInfo {
+		t.Helper()
+		tr, err := admin.Trace(ctx, reqID)
+		if err != nil {
+			t.Fatalf("fetching trace %s: %v", reqID, err)
+		}
+		var out []SpanInfo
+		for _, sp := range tr.Spans {
+			if sp.Name == name {
+				out = append(out, sp)
+			}
+		}
+		return out
+	}
+
+	const sampleID = "e7c0de00e7c0de00"
+	if _, err := sc.Sample(ContextWithRequestID(ctx, sampleID), 1); err != nil {
+		t.Fatal(err)
+	}
+	noise, encode := spans(sampleID, "noise"), spans(sampleID, "encode")
+	if len(noise) != 1 || len(encode) != 2 {
+		t.Fatalf("sample trace has %d noise and %d encode spans, want 1 and 2 (CSV, then JSON)", len(noise), len(encode))
+	}
+	csvSpan, jsonSpan := encode[0], encode[1]
+	if csvSpan.OffsetMicros > jsonSpan.OffsetMicros {
+		csvSpan, jsonSpan = jsonSpan, csvSpan
+	}
+	if end := noise[0].OffsetMicros + noise[0].DurationMicros; csvSpan.OffsetMicros < end {
+		t.Errorf("CSV encode span starts at %dµs, before the noise span ends at %dµs", csvSpan.OffsetMicros, end)
+	}
+	if end := csvSpan.OffsetMicros + csvSpan.DurationMicros; jsonSpan.OffsetMicros < end {
+		t.Errorf("JSON encode span starts at %dµs, before the CSV encode span ends at %dµs", jsonSpan.OffsetMicros, end)
+	}
+
+	const quantileID = "e7c0de01e7c0de01"
+	if _, err := sc.Quantile(ContextWithRequestID(ctx, quantileID), 1, "Age", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(spans(quantileID, "encode")); n != 1 {
+		t.Errorf("quantile trace has %d encode spans, want 1", n)
+	}
+}
+
 // TestAuditOutcomesOnWire drives the two refusal paths and checks each
 // produces its distinct audit outcome: a pre-noise session-accountant
 // rejection is "refunded" (the ledger reservation came back), a ledger
